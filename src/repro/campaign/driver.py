@@ -36,7 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Mapping, Optional, Set, Tuple
 
 from ..config import SystemConfig, baseline_config, env_text
 from ..core import manifest as manifest_mod
@@ -166,9 +166,7 @@ class CampaignDriver:
             Path(manifest_path) if manifest_path else default_manifest_path(spec)
         )
         self._base_config = baseline_config()
-        self._configs: Dict[str, SystemConfig] = {
-            config.name: config.resolve() for config in spec.configs
-        }
+        self._configs: Mapping[str, SystemConfig] = spec.resolved_configs
 
     # -- shared classification machinery -------------------------------
 

@@ -22,7 +22,7 @@ set of dotted-path overrides on the paper's NDP configuration::
     [[configs]]
     name = "2x-link"
     [configs.overrides]
-    "links.gpu_stack_bandwidth_gbps" = 160.0
+    "links.gpu_stack_gbps" = 160.0
 
     [[exclude]]                          # drop matching points
     workload = "RD"
@@ -47,14 +47,14 @@ subset above — no third-party dependency either way.
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import itertools
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from ..config import SystemConfig, ndp_config
+from ..config import SystemConfig, content_digest, ndp_config
 from ..core.policies import POLICIES_BY_LABEL
 from ..errors import ConfigError
 from ..trace.generator import TraceScale
@@ -67,25 +67,52 @@ _AXES = ("workload", "policy", "scale", "seed", "config")
 def apply_overrides(
     config: SystemConfig, overrides: Mapping[str, object]
 ) -> SystemConfig:
-    """Apply dotted-path field overrides (``"links.gpu_stack_bandwidth_gbps"
+    """Apply dotted-path field overrides (``"links.gpu_stack_gbps"
     = 160.0``) to a frozen :class:`SystemConfig`, validating the result.
     Keys are applied in sorted order so the outcome never depends on
-    mapping iteration order."""
+    mapping iteration order.
+
+    Every value must match its field's declared type: a bool is not a
+    number and a float is not an int, but an int is accepted for a float
+    field and stored unchanged (so it keeps its own point ids)."""
     for path in sorted(overrides):
         config = _replace_path(config, path, path.split("."), overrides[path])
     return config.validate()
 
 
+#: Accepted value types per declared scalar field type.
+_OVERRIDE_TYPES = {"bool": (bool,), "int": (int,), "float": (int, float)}
+
+
 def _replace_path(obj, full_path: str, parts: Sequence[str], value):
     name = parts[0]
-    known = {f.name for f in dataclasses.fields(obj)}
-    if name not in known:
+    fields = {f.name: f for f in dataclasses.fields(obj)}
+    if name not in fields:
         raise ConfigError(
             f"override {full_path!r}: {type(obj).__name__} has no field "
-            f"{name!r} (known: {', '.join(sorted(known))})"
+            f"{name!r} (known: {', '.join(sorted(fields))})"
         )
+    declared = fields[name].type  # a string: config.py defers annotations
+    accepted = _OVERRIDE_TYPES.get(declared)
     if len(parts) == 1:
+        if accepted is None:
+            raise ConfigError(
+                f"override {full_path!r}: {declared} is a section; "
+                f"override one of its fields instead"
+            )
+        if not isinstance(value, accepted) or (
+            isinstance(value, bool) and declared != "bool"
+        ):
+            raise ConfigError(
+                f"override {full_path!r}: expected {declared}, got "
+                f"{type(value).__name__} {value!r}"
+            )
         return dataclasses.replace(obj, **{name: value})
+    if accepted is not None:
+        raise ConfigError(
+            f"override {full_path!r}: {name!r} is a field of type "
+            f"{declared}, not a section"
+        )
     child = _replace_path(getattr(obj, name), full_path, parts[1:], value)
     return dataclasses.replace(obj, **{name: child})
 
@@ -220,7 +247,7 @@ class CampaignSpec:
             if config.name in seen:
                 raise ConfigError(f"duplicate config name {config.name!r}")
             seen.add(config.name)
-            config.resolve()  # raises ConfigError on a bad override
+        self.resolved_configs  # raises ConfigError on a bad override
         for key, _ in self.pin:
             if key not in _AXES:
                 raise ConfigError(
@@ -235,9 +262,20 @@ class CampaignSpec:
                     )
         return self
 
+    @cached_property
+    def resolved_configs(self) -> Mapping[str, SystemConfig]:
+        """Every named configuration, resolved once per spec instance.
+
+        Sharing the resolved instances between :meth:`fingerprint`,
+        :meth:`expand` and the driver lets each one serialise only once
+        (:attr:`repro.config.SystemConfig.canonical_json` memoises per
+        instance)."""
+        return {c.name: c.resolve() for c in self.configs}
+
     # -- identity ------------------------------------------------------
 
     def _canonical(self) -> Dict:
+        resolved = self.resolved_configs
         return {
             "name": self.name,
             "workloads": list(self.workloads),
@@ -245,11 +283,7 @@ class CampaignSpec:
             "scales": list(self.scales),
             "seeds": list(self.seeds),
             "configs": [
-                {
-                    "name": c.name,
-                    "config": dataclasses.asdict(c.resolve()),
-                }
-                for c in self.configs
+                {"name": c.name, "config": resolved[c.name]} for c in self.configs
             ],
             "exclude": [list(map(list, clause)) for clause in self.exclude],
             "pin": [list(p) for p in self.pin],
@@ -258,10 +292,7 @@ class CampaignSpec:
     def fingerprint(self) -> str:
         """Identity of the campaign: the expanded product would change
         iff this changes. Code-version independent by design."""
-        canonical = json.dumps(
-            self._canonical(), sort_keys=True, separators=(",", ":")
-        )
-        return hashlib.sha256(canonical.encode()).hexdigest()[:16]
+        return content_digest(self._canonical())[:16]
 
     # -- expansion -----------------------------------------------------
 
@@ -293,7 +324,7 @@ class CampaignSpec:
         seed, config) adjacently."""
         self.validate()
         workloads, policies, scales, seeds, config_names = self._pinned_axes()
-        config_by_name = {c.name: c for c in self.configs}
+        resolved = self.resolved_configs
         points: List[CampaignPoint] = []
         for config_name, scale_name, seed, workload, policy in itertools.product(
             config_names, scales, seeds, workloads, policies
@@ -307,11 +338,15 @@ class CampaignSpec:
             }
             if self._excluded(values):
                 continue
-            resolved = config_by_name[config_name].resolve()
             points.append(
                 CampaignPoint(
                     point_id=point_id(
-                        workload, policy, scale_name, seed, config_name, resolved
+                        workload,
+                        policy,
+                        scale_name,
+                        seed,
+                        config_name,
+                        resolved[config_name],
                     ),
                     workload=workload,
                     policy=policy,
@@ -338,16 +373,16 @@ def point_id(
 ) -> str:
     """Content address of one campaign point (spec-stable: independent
     of the code version — the result cache's keys carry that)."""
-    payload = {
-        "workload": workload,
-        "policy": policy,
-        "scale": scale_name,
-        "seed": seed,
-        "config": config_name,
-        "system": dataclasses.asdict(resolved_config),
-    }
-    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode()).hexdigest()[:16]
+    return content_digest(
+        {
+            "workload": workload,
+            "policy": policy,
+            "scale": scale_name,
+            "seed": seed,
+            "config": config_name,
+            "system": resolved_config,
+        }
+    )[:16]
 
 
 def _freeze(value):

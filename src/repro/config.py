@@ -19,8 +19,12 @@ are converted with :func:`SystemConfig.bytes_per_cycle`.
 from __future__ import annotations
 
 import dataclasses
+import hashlib
+import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
+from functools import cached_property
+from typing import Mapping
 
 from .errors import ConfigError
 from .utils.bitops import ilog2, is_power_of_two
@@ -325,6 +329,45 @@ class SystemConfig:
         """Functional update; accepts both section objects and dotted
         shortcuts handled by the experiment helpers."""
         return dataclasses.replace(self, **kwargs)
+
+    @cached_property
+    def canonical_json(self) -> str:
+        """Sorted-key, compact JSON of ``asdict(self)``: the form every
+        content key (result cache, manifest, campaign) hashes.
+
+        Computed once per *instance* and stored in the instance's
+        ``__dict__``, outside the dataclass fields, so equality, hashing
+        and ``dataclasses.replace`` never see it (a replaced config is a
+        new instance with no memo). The memo is deliberately keyed by
+        identity, not equality: ``1 == 1.0``, yet the two serialise
+        differently, so two equal configs may carry different keys.
+        """
+        return json.dumps(asdict(self), sort_keys=True, separators=(",", ":"))
+
+
+def content_digest(payload: Mapping[str, object]) -> str:
+    """SHA-256 hex digest of a content-key payload.
+
+    Hashes exactly the bytes of ``json.dumps(payload, sort_keys=True,
+    separators=(",", ":"))`` with every :class:`SystemConfig` inside the
+    payload replaced by ``asdict(config)`` — but splices in each
+    config's memoised :attr:`SystemConfig.canonical_json` instead of
+    re-serialising it. Payloads hold only string-keyed dicts, lists,
+    tuples, configs and JSON scalars.
+    """
+    return hashlib.sha256(_encode(payload).encode()).hexdigest()
+
+
+def _encode(value) -> str:
+    if isinstance(value, SystemConfig):
+        return value.canonical_json
+    if isinstance(value, dict):
+        return "{" + ",".join(
+            f"{json.dumps(key)}:{_encode(value[key])}" for key in sorted(value)
+        ) + "}"
+    if isinstance(value, (list, tuple)):
+        return "[" + ",".join(_encode(item) for item in value) + "]"
+    return json.dumps(value)
 
 
 def baseline_config() -> SystemConfig:

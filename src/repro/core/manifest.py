@@ -25,24 +25,18 @@ cache disabled or cold.
 
 from __future__ import annotations
 
-import dataclasses
-import hashlib
 import json
 import os
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
-from ..config import SystemConfig
+from ..config import SystemConfig, content_digest
 from ..errors import ConfigError
 from ..trace.generator import TraceScale
 from .supervisor import JobOutcome
 
 #: Bump when the manifest line format changes.
 MANIFEST_FORMAT = 1
-
-
-def _config_fingerprint(config: SystemConfig) -> Dict:
-    return dataclasses.asdict(config)
 
 
 def run_fingerprint(
@@ -54,14 +48,14 @@ def run_fingerprint(
     """Identity of the parameter grid a manifest belongs to (workloads
     and policies may vary between the original run and a resume; the
     per-job keys cover those)."""
-    payload = {
-        "scale": scale.name,
-        "seed": seed,
-        "trace_config": _config_fingerprint(trace_config),
-        "base_config": _config_fingerprint(base_config),
-    }
-    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode()).hexdigest()[:16]
+    return content_digest(
+        {
+            "scale": scale.name,
+            "seed": seed,
+            "trace_config": trace_config,
+            "base_config": base_config,
+        }
+    )[:16]
 
 
 def job_key(
@@ -72,12 +66,12 @@ def job_key(
     base_config: SystemConfig,
 ) -> str:
     """Content address of one workload's point in the run grid."""
-    payload = {
-        "workload": workload,
-        "run": run_fingerprint(scale, seed, trace_config, base_config),
-    }
-    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode()).hexdigest()[:16]
+    return content_digest(
+        {
+            "workload": workload,
+            "run": run_fingerprint(scale, seed, trace_config, base_config),
+        }
+    )[:16]
 
 
 class RunManifest:

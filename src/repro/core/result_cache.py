@@ -13,8 +13,8 @@ result:
 
 * workload name, trace scale, trace seed;
 * the *trace* configuration (traces are built from the NDP config even
-  for baseline runs) and the *run* configuration, both as
-  ``dataclasses.asdict`` dictionaries;
+  for baseline runs) and the *run* configuration, each as its memoised
+  canonical JSON (:attr:`repro.config.SystemConfig.canonical_json`);
 * the policy label (and oracle position, when pinned);
 * a code version: a hash over every ``.py`` source file of the
   ``repro`` package, so any code change invalidates the whole cache.
@@ -42,7 +42,6 @@ load then behaves as a miss and the entry is rewritten. See
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
 import logging
@@ -52,7 +51,7 @@ from functools import lru_cache
 from pathlib import Path
 from typing import Optional
 
-from ..config import SystemConfig, env_flag, env_text
+from ..config import SystemConfig, content_digest, env_flag, env_text
 from ..trace.generator import TraceScale
 from .results import SimulationResult
 
@@ -92,10 +91,6 @@ def code_version() -> str:
     return digest.hexdigest()[:16]
 
 
-def _config_fingerprint(config: SystemConfig) -> dict:
-    return dataclasses.asdict(config)
-
-
 def cache_key(
     workload: str,
     policy_label: str,
@@ -107,19 +102,19 @@ def cache_key(
 ) -> str:
     """Content address of one simulation. Stable across processes and
     interpreter sessions for identical inputs."""
-    payload = {
-        "format": _FORMAT_VERSION,
-        "code": code_version(),
-        "workload": workload,
-        "policy": policy_label,
-        "scale": scale.name,
-        "seed": seed,
-        "trace_config": _config_fingerprint(trace_config),
-        "run_config": _config_fingerprint(run_config),
-        "oracle_position": oracle_position,
-    }
-    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode()).hexdigest()
+    return content_digest(
+        {
+            "format": _FORMAT_VERSION,
+            "code": code_version(),
+            "workload": workload,
+            "policy": policy_label,
+            "scale": scale.name,
+            "seed": seed,
+            "trace_config": trace_config,
+            "run_config": run_config,
+            "oracle_position": oracle_position,
+        }
+    )
 
 
 def _entry_path(key: str) -> Path:

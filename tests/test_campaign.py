@@ -179,6 +179,48 @@ class TestSpec:
         # untouched fields survive
         assert config.stacks.n_stacks == ndp_config().stacks.n_stacks
 
+    @pytest.mark.parametrize(
+        "path, value, expected",
+        [
+            ("control.channel_busy_threshold", "abc", "float"),
+            ("control.channel_busy_threshold", None, "float"),
+            ("control.channel_busy_threshold", [0.5], "float"),
+            ("control.channel_busy_threshold", True, "float"),
+            ("gpu.n_sms", 2.5, "int"),
+            ("gpu.n_sms", True, "int"),
+            ("gpu.n_sms", "64", "int"),
+            ("ndp_enabled", 1, "bool"),
+            ("translation.enabled", "yes", "bool"),
+        ],
+    )
+    def test_override_type_mismatch_rejected(self, path, value, expected):
+        with pytest.raises(ConfigError, match=f"{path}.*expected {expected}"):
+            apply_overrides(ndp_config(), {path: value})
+
+    def test_override_type_mismatch_is_a_spec_error(self):
+        with pytest.raises(ConfigError, match="gpu.n_sms.*expected int"):
+            CampaignSpec.from_dict(
+                {
+                    "name": "typed",
+                    "workloads": ["BP"],
+                    "policies": ["baseline"],
+                    "configs": [{"name": "x", "overrides": {"gpu.n_sms": 2.5}}],
+                }
+            )
+
+    def test_override_of_a_section_or_through_a_field_rejected(self):
+        with pytest.raises(ConfigError, match="section"):
+            apply_overrides(ndp_config(), {"gpu": {"n_sms": 32}})
+        with pytest.raises(ConfigError, match="not a section"):
+            apply_overrides(ndp_config(), {"gpu.n_sms.low": 1})
+
+    def test_int_override_of_float_field_is_stored_unchanged(self):
+        config = apply_overrides(ndp_config(), {"links.cross_stack_gbps": 20})
+        assert type(config.links.cross_stack_gbps) is int
+        assert config == apply_overrides(
+            ndp_config(), {"links.cross_stack_gbps": 20.0}
+        )
+
 
 class TestTomlLoading:
     def test_fallback_parses_sample(self):
