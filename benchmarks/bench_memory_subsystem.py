@@ -96,23 +96,28 @@ def bench_cache_batch() -> Tuple[List[float], int]:
 
 
 def bench_vault_batch() -> Tuple[List[float], int]:
-    """Lines/sec booked through the stack's batched service entry
-    points (``service_interleaved`` — the ideal-colocation path — and
-    single-vault ``service_batch``)."""
+    """Lines/sec booked through the stack's multi-line entry point,
+    ``service_scatter``, in two shapes: vaults picked by the line's
+    interleave bits (the ideal-colocation path) and, every eighth
+    access, a whole group on one vault."""
     config = ndp_config()
     rng = np.random.default_rng(2)
     accesses = _access_stream(rng, span_lines=1 << 20)
     total_lines = sum(len(lines) for lines in accesses)
     line_bits = 7
+    n_vaults = config.stacks.vaults_per_stack
+    vaults = [
+        [0] * len(lines)
+        if i % 8 == 0
+        else [(line >> line_bits) % n_vaults for line in lines]
+        for i, lines in enumerate(accesses)
+    ]
     samples: List[float] = []
     for _ in range(REPEATS):
         stack = MemoryStack(Engine(), 0, config)
         start = time.perf_counter()
-        for i, lines in enumerate(accesses):
-            if i % 8 == 0:
-                stack.service_batch(0, lines, LINE_BYTES)
-            else:
-                stack.service_interleaved(lines, LINE_BYTES, line_bits)
+        for lines, group_vaults in zip(accesses, vaults):
+            stack.service_scatter(group_vaults, lines, LINE_BYTES)
         samples.append(time.perf_counter() - start)
     return samples, total_lines
 

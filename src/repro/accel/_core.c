@@ -1024,53 +1024,6 @@ bw_reserve(BWObject *self, PyObject *amount_obj)
 }
 
 static PyObject *
-bw_reserve_sequence(BWObject *self, PyObject *amounts_obj)
-{
-    PyObject *seq = PySequence_Fast(amounts_obj, "reserve_sequence needs a sequence");
-    if (seq == NULL)
-        return NULL;
-    Py_ssize_t n = PySequence_Fast_GET_SIZE(seq);
-    if (n == 0) {
-        Py_DECREF(seq);
-        sim_error("empty reserve_sequence on %R", self->name);
-        return NULL;
-    }
-    double now = ((EngineObject *)self->engine)->now;
-    double next_free = self->next_free;
-    if (now > next_free)
-        next_free = now;
-    double rate = self->rate;
-    double busy_time = self->busy_time;
-    double units_moved = self->units_moved;
-    PyObject **items = PySequence_Fast_ITEMS(seq);
-    for (Py_ssize_t i = 0; i < n; i++) {
-        double amount = PyFloat_AsDouble(items[i]);
-        if (amount == -1.0 && PyErr_Occurred()) {
-            Py_DECREF(seq);
-            return NULL;
-        }
-        if (amount < 0) {
-            PyObject *a = PyFloat_FromDouble(amount);
-            sim_error("negative transfer of %S on %R", a ? a : Py_None,
-                      self->name);
-            Py_XDECREF(a);
-            Py_DECREF(seq);
-            return NULL;
-        }
-        double duration = amount / rate;
-        next_free = next_free + duration;
-        busy_time = busy_time + duration;
-        units_moved = units_moved + amount;
-    }
-    Py_DECREF(seq);
-    self->next_free = next_free;
-    self->busy_time = busy_time;
-    self->units_moved = units_moved;
-    self->transfers += n;
-    return PyFloat_FromDouble(next_free + self->latency);
-}
-
-static PyObject *
 bw_queue_delay(BWObject *self, PyObject *noarg)
 {
     double d = self->next_free - ((EngineObject *)self->engine)->now;
@@ -1087,8 +1040,6 @@ bw_utilization_snapshot(BWObject *self, PyObject *noarg)
 static PyMethodDef bw_methods[] = {
     {"reserve", (PyCFunction)bw_reserve, METH_O,
      "Book `amount` units; returns the completion time."},
-    {"reserve_sequence", (PyCFunction)bw_reserve_sequence, METH_O,
-     "Book several transfers back-to-back; returns the last completion."},
     {"queue_delay", (PyCFunction)bw_queue_delay, METH_NOARGS,
      "How far the server is booked past the current time."},
     {"utilization_snapshot", (PyCFunction)bw_utilization_snapshot, METH_NOARGS,

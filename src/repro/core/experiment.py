@@ -161,8 +161,8 @@ class WorkloadRunner:
         Returns ``{policy_label: result}`` when ``variants`` is None,
         else one such dict per variant. Results are bit-identical to
         running each variant on its own :class:`WorkloadRunner` (the
-        scalar engine remains the reference; ``REPRO_NO_GRID=1`` forces
-        that path). Per-lane caching is unchanged: every lane probes the
+        scalar engine remains the reference). Per-lane caching is
+        unchanged: every lane probes the
         persistent cache under the exact key :meth:`run` would use —
         before the trace is built, so a fully-warm grid builds nothing —
         and stores its result back. Grid lanes bypass tracing the same
@@ -242,10 +242,7 @@ class WorkloadRunner:
                 self._cache.setdefault(policy.label, result)
             return result
 
-        use_grid = (
-            not tracing and gridrun.lockstep_enabled() and len(missing) >= 2
-        )
-        if not use_grid:
+        if tracing or len(missing) < 2:
             for index, policy in missing:
                 results[index][policy.label] = run_scalar(index, policy)
             return results[0] if single else results

@@ -21,9 +21,8 @@ whole batch to serial.
 
 Execution itself is delegated to the supervised engine in
 :mod:`repro.core.supervisor` (per-job timeouts, retries, crash
-recovery, structured failures); :func:`run_jobs` is the strict facade
-that raises :class:`~repro.errors.JobExecutionError` if any job failed
-permanently.
+recovery, structured failures), which runs :func:`execute_job` for each
+job.
 
 Job payloads and results are plain frozen dataclasses (configs,
 policies, :class:`SimulationResult`), so pickling is cheap; traces are
@@ -35,10 +34,10 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Tuple
 
 from ..config import SystemConfig, env_text
-from ..errors import JobExecutionError
+from ..errors import ConfigError
 from ..trace.generator import TraceScale
 from .policies import RunPolicy
 from .results import SimulationResult
@@ -64,7 +63,7 @@ def default_jobs() -> int:
         try:
             return max(1, int(raw))
         except ValueError:
-            raise ValueError(
+            raise ConfigError(
                 f"REPRO_JOBS must be an integer, got {raw!r}"
             ) from None
     return os.cpu_count() or 1
@@ -78,8 +77,7 @@ def execute_job(job: SuiteJob) -> Dict[str, SimulationResult]:
 
     Jobs carrying two or more policies go through the lockstep grid
     engine (``WorkloadRunner.run_grid`` — bit-identical to sequential
-    runs, disabled by ``REPRO_NO_GRID=1``); single-policy jobs run the
-    scalar engine directly."""
+    runs); single-policy jobs run the scalar engine directly."""
     from .experiment import WorkloadRunner  # deferred: experiment imports us
 
     runner = WorkloadRunner(
@@ -92,26 +90,3 @@ def execute_job(job: SuiteJob) -> Dict[str, SimulationResult]:
     if len(job.policies) >= 2:
         return runner.run_grid(job.policies)
     return {policy.label: runner.run(policy) for policy in job.policies}
-
-
-def run_jobs(
-    jobs: Sequence[SuiteJob], n_jobs: Optional[int] = None
-) -> List[Dict[str, SimulationResult]]:
-    """Execute every job, in submission order, and return their result
-    maps in the same order. Parallel across jobs; serial within a job
-    (policies of one workload share the worker's trace).
-
-    Strict facade over :func:`repro.core.supervisor.run_supervised`:
-    any job that fails permanently (after the configured retries)
-    raises :class:`~repro.errors.JobExecutionError` carrying every
-    structured :class:`~repro.core.supervisor.JobFailure`. Callers that
-    want partial results instead use the supervisor (or
-    ``run_suite_supervised``) directly.
-    """
-    from .supervisor import run_supervised  # deferred: supervisor imports us
-
-    outcomes = run_supervised(jobs, n_jobs=n_jobs)
-    failures = [o.failure for o in outcomes if o.failure is not None]
-    if failures:
-        raise JobExecutionError(failures)
-    return [o.results for o in outcomes if o.results is not None]

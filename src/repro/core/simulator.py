@@ -36,7 +36,7 @@ null recorder and results are bit-identical.
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..compiler.metadata import MetadataEntry
 from ..config import SystemConfig
@@ -302,19 +302,19 @@ class Simulator:
             yield from self._pcie_access(off_chip, access)
             return
 
-        groups = self._group_by_stack(off_chip)
+        groups = self._stack_groups(access, off_chip)
         if self._trace_on:
             self._recorder.access(
                 "gpu",
                 access.is_store,
-                {stack: len(group) for stack, group in groups.items()},
+                {stack: len(group) for stack, group, _ in groups},
             )
         engine = self.system.engine
         procs = [
             engine.process(
-                self._gpu_offchip_group(stack, group, access, len(off_chip))
+                self._gpu_offchip_group(stack, group, vaults, access, len(off_chip))
             )
-            for stack, group in groups.items()
+            for stack, group, vaults in groups
         ]
         yield AllOf(procs)
 
@@ -330,7 +330,12 @@ class Simulator:
         yield Acquire(self.system.fabric.pcie, n_bytes)
 
     def _gpu_offchip_group(
-        self, stack: int, lines: Sequence[int], access: WarpAccess, total_lines: int
+        self,
+        stack: int,
+        lines: Sequence[int],
+        vaults: Sequence[int],
+        access: WarpAccess,
+        total_lines: int,
     ):
         """One warp access's lines bound for one memory stack."""
         fabric = self.system.fabric
@@ -340,42 +345,27 @@ class Simulator:
             yield Acquire(fabric.tx[stack], packets.store_request(len(lines), lanes))
         else:
             yield Acquire(fabric.tx[stack], packets.load_request(len(lines)))
-        yield from self._dram_service(stack, lines)
+        yield from self._dram_service(stack, lines, vaults)
         if access.is_store:
             yield Acquire(fabric.rx[stack], packets.store_ack(len(lines)))
         else:
             yield Acquire(fabric.rx[stack], packets.load_reply(len(lines)))
 
-    def _dram_service(self, stack: int, lines: Sequence[int]):
-        """Book every line on its vault; wait for the slowest.
-
-        Vault routing for the whole group comes from one batched
-        ``vault_of_many`` call. When the group lands on a single vault
-        it is booked with one ``service_batch`` call; otherwise — the
-        common case, since vault interleaving spreads consecutive lines
-        on purpose — one ``service_scatter`` call walks the lines with
-        the vault booking inlined. Booking order is line order either
-        way, so open-row state, stats, and times stay bit-identical."""
+    def _dram_service(
+        self, stack: int, lines: Sequence[int], vaults: Sequence[int]
+    ):
+        """Book every line on its vault, in line order; wait for the
+        slowest. One line books through ``MemoryStack.service``; a
+        larger group, on one vault or many, walks through one
+        ``service_scatter`` call with the same per-line booking, so
+        open-row state, stats and times match one ``service`` per line."""
         line_bytes = self.config.messages.cache_line_bytes
         memory = self.system.stacks[stack]
-        engine = self.system.engine
-        now = engine.now
         if len(lines) == 1:
-            line = lines[0]
-            vault = int(self.mapping.vault_of(line))
-            completion = memory.service(vault, line, line_bytes)
-            if completion < now:
-                completion = now
+            completion = memory.service(vaults[0], lines[0], line_bytes)
         else:
-            vaults = self.mapping.vault_of_many(lines)
-            first = vaults[0]
-            if all(vault == first for vault in vaults):
-                completion = memory.service_batch(first, lines, line_bytes)
-                if completion < now:
-                    completion = now
-            else:
-                completion = memory.service_scatter(vaults, lines, line_bytes)
-        delay = completion - now
+            completion = memory.service_scatter(vaults, lines, line_bytes)
+        delay = completion - self.system.engine.now
         if delay > 0:
             yield Timeout(delay)
 
@@ -447,30 +437,36 @@ class Simulator:
         if not off_chip:
             return
         if ideal:
-            # Perfect co-location: every line is served by the home stack.
+            # Perfect co-location: every line is served by the home
+            # stack, its vault chosen by the line bits for spread.
             if self._trace_on:
                 self._recorder.access(
                     f"stack{home}", access.is_store, {home: len(off_chip)}
                 )
-            yield from self._dram_service_local(home, off_chip)
+            line_bits = self.line_bits
+            n_vaults = self.config.stacks.vaults_per_stack
+            vaults = [(line >> line_bits) % n_vaults for line in off_chip]
+            yield from self._dram_service(home, off_chip, vaults)
             return
 
-        groups = self._group_by_stack(off_chip)
+        groups = self._stack_groups(access, off_chip)
         if self._trace_on:
             self._recorder.access(
                 f"stack{home}",
                 access.is_store,
-                {stack: len(group) for stack, group in groups.items()},
+                {stack: len(group) for stack, group, _ in groups},
             )
         engine = self.system.engine
         procs = []
-        for stack, group in groups.items():
+        for stack, group, vaults in groups:
             if stack == home:
-                procs.append(engine.process(self._dram_service(home, group)))
+                procs.append(engine.process(self._dram_service(home, group, vaults)))
             else:
                 procs.append(
                     engine.process(
-                        self._remote_group(home, stack, group, access, len(off_chip))
+                        self._remote_group(
+                            home, stack, group, vaults, access, len(off_chip)
+                        )
                     )
                 )
         yield AllOf(procs)
@@ -501,29 +497,14 @@ class Simulator:
             fabric.cross_link(walk.page_table_stack, home), walk.n_bytes
         )
 
-    def _dram_service_local(self, stack: int, lines: Sequence[int]):
-        """Ideal-mode service: lines are forced onto the home stack's
-        vaults (vault chosen by line bits for spread). Consecutive
-        lines interleave across vaults, so the group books through one
-        ``service_interleaved`` call that walks them in line order —
-        bit-identical accounting, no grouping overhead."""
-        line_bytes = self.config.messages.cache_line_bytes
-        memory = self.system.stacks[stack]
-        now = self.system.engine.now
-        if len(lines) == 1:
-            line = lines[0]
-            vault = (line >> self.line_bits) % self.config.stacks.vaults_per_stack
-            completion = memory.service(vault, line, line_bytes)
-            if completion < now:
-                completion = now
-        else:
-            completion = memory.service_interleaved(lines, line_bytes, self.line_bits)
-        delay = completion - now
-        if delay > 0:
-            yield Timeout(delay)
-
     def _remote_group(
-        self, home: int, stack: int, lines: Sequence[int], access: WarpAccess, total: int
+        self,
+        home: int,
+        stack: int,
+        lines: Sequence[int],
+        vaults: Sequence[int],
+        access: WarpAccess,
+        total: int,
     ):
         """Stack-SM access to data in a different stack: request over the
         cross-stack link, DRAM service there, reply back."""
@@ -538,10 +519,27 @@ class Simulator:
             reply = packets.load_reply(len(lines))
         there, back = fabric.cross_pair(home, stack)
         yield Acquire(there, request)
-        yield from self._dram_service(stack, lines)
+        yield from self._dram_service(stack, lines, vaults)
         yield Acquire(back, reply)
 
     # -- helpers ---------------------------------------------------------------
+
+    def _stack_groups(
+        self, access: WarpAccess, off_chip: Sequence[int]
+    ) -> Sequence[Tuple[int, Sequence[int], Sequence[int]]]:
+        """The routing hook: ``(stack, lines, vaults)`` for every stack
+        the off-chip lines of ``access`` touch, in first-occurrence
+        order, with each line's vault under the current mapping. The
+        grid lanes override this to read precomputed plans."""
+        mapping = self.mapping
+        if len(off_chip) == 1:
+            line = off_chip[0]
+            stack = int(mapping.stack_of(line))
+            return [(stack, [line], [int(mapping.vault_of(line))])]
+        return [
+            (stack, lines, mapping.vault_of_many(lines))
+            for stack, lines in self._group_by_stack(off_chip).items()
+        ]
 
     def _group_by_stack(self, lines: Sequence[int]) -> Dict[int, List[int]]:
         """Stack index for every line in one batched ``stack_of_many``

@@ -1,9 +1,9 @@
 """Supervised job execution: per-job fault isolation for suite runs.
 
-:func:`repro.core.parallel.run_jobs` used to drive a bare
-``pool.map``, so one worker exception, hang, or OOM-kill aborted the
-whole suite and discarded every in-flight result. This module replaces
-that core with a supervisor that treats individual job failure as data:
+A bare ``pool.map`` over suite jobs lets one worker exception, hang,
+or OOM-kill abort the whole suite and discard every in-flight result.
+This module runs jobs under a supervisor that treats individual job
+failure as data:
 
 * **per-job submit** with a configurable wall-clock timeout
   (``REPRO_JOB_TIMEOUT`` / ``job_timeout``);
@@ -40,6 +40,7 @@ pool workers and inline.
 
 from __future__ import annotations
 
+import math
 import pickle
 import time
 from collections import deque
@@ -110,8 +111,11 @@ class SupervisorConfig:
                     ) from None
             else:
                 max_retries = DEFAULT_MAX_RETRIES
-        if timeout is not None and timeout <= 0:
-            raise ConfigError(f"job timeout must be positive, got {timeout}")
+        if timeout is not None and not 0 < timeout < math.inf:
+            # Also rejects NaN, which every comparison fails.
+            raise ConfigError(
+                f"job timeout must be a positive finite number, got {timeout}"
+            )
         if max_retries < 0:
             raise ConfigError(f"max retries must be >= 0, got {max_retries}")
         return cls(timeout=timeout, max_retries=max_retries)

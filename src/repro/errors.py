@@ -47,8 +47,8 @@ class SimulationDenied(ReproError):
 class JobExecutionError(SimulationError):
     """One or more supervised suite jobs failed permanently.
 
-    Raised by the strict entry points (:func:`repro.core.parallel.run_jobs`,
-    :func:`repro.core.experiment.run_suite`); carries the structured
+    Raised by the strict entry point
+    (:func:`repro.core.experiment.run_suite`); carries the structured
     per-job failures so callers can still see *which* points died. The
     partial-result entry point (``run_suite_supervised``) returns these
     in its report instead of raising.

@@ -448,37 +448,6 @@ class BandwidthResource:
         self.transfers += 1
         return start + duration + self.latency
 
-    def reserve_sequence(self, amounts: Sequence[float]) -> float:
-        """Book several transfers back-to-back at the current time;
-        returns the completion time of the last (which is the latest,
-        since the server is serial). The arithmetic replays the exact
-        sequential order of repeated :meth:`reserve` calls, so
-        ``_next_free``, ``busy_time`` and ``units_moved`` land on
-        bit-identical floating-point values."""
-        if not amounts:
-            raise SimulationError(f"empty reserve_sequence on {self.name!r}")
-        now = self._engine.now
-        next_free = self._next_free
-        if now > next_free:
-            next_free = now
-        rate = self.rate
-        busy_time = self.busy_time
-        units_moved = self.units_moved
-        for amount in amounts:
-            if amount < 0:
-                raise SimulationError(
-                    f"negative transfer of {amount} on {self.name!r}"
-                )
-            duration = amount / rate
-            next_free = next_free + duration
-            busy_time = busy_time + duration
-            units_moved = units_moved + amount
-        self._next_free = next_free
-        self.busy_time = busy_time
-        self.units_moved = units_moved
-        self.transfers += len(amounts)
-        return next_free + self.latency
-
     def queue_delay(self) -> float:
         """How far the server is booked past the current time."""
         return max(0.0, self._next_free - self._engine.now)

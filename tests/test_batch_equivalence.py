@@ -1,14 +1,13 @@
 """Bit-identity of the batched memory-subsystem fast paths.
 
 The batched data path (``Cache.load_batch``/``load_misses``,
-``Vault.service_batch``, ``MemoryStack.service_scatter``/
-``service_interleaved``, the allocation table's bisect+memo lookup, and
-the patterns' pure-Python ``lane_address_list``) must be *bit-identical*
-to the scalar walk it replaced — same stats, same LRU and open-row
-state, same float completion times, same addresses. These property-style
-tests drive both paths with the same randomized streams and compare
-exhaustively; the end-to-end test pins whole-simulation results to the
-values the pre-batching seed produced.
+``MemoryStack.service_scatter``, the allocation table's bisect+memo
+lookup, and the patterns' pure-Python ``lane_address_list``) must be
+*bit-identical* to the scalar walk it replaced — same stats, same LRU
+and open-row state, same float completion times, same addresses. These
+property-style tests drive both paths with the same randomized streams
+and compare exhaustively; the end-to-end test pins whole-simulation
+results to the values the pre-batching seed produced.
 """
 
 from __future__ import annotations
@@ -16,6 +15,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.accel import compiled_available, make_engine
 from repro.config import baseline_config, ndp_config
 from repro.core.policies import BASELINE, IDEAL_NDP, NDP_CTRL_ORACLE
 from repro.core.simulator import simulate
@@ -35,7 +35,6 @@ from repro.trace.patterns import (
     RandomPattern,
     StridedPattern,
 )
-from repro.utils.simcore import Engine
 from repro.workloads.base import make_workload
 
 LINE_BYTES = 128
@@ -122,11 +121,38 @@ def test_cache_mixed_batch_scalar_interleaving():
 
 
 # -- DRAM -------------------------------------------------------------------
+#
+# ``service_scatter`` writes the bandwidth resource's ``_next_free``,
+# ``busy_time``, ``units_moved`` and ``transfers`` directly; on the
+# compiled engine those are C members, so every DRAM test runs on both
+# backends.
+
+BACKENDS = [
+    "python",
+    pytest.param(
+        "compiled",
+        marks=pytest.mark.skipif(
+            not compiled_available(), reason="compiled engine extension not built"
+        ),
+    ),
+]
 
 
-def _stack_pair():
+def _stack_pair(backend):
     config = ndp_config()
-    return MemoryStack(Engine(), 0, config), MemoryStack(Engine(), 0, config)
+    return tuple(
+        MemoryStack(make_engine(backend), 0, config) for _ in range(2)
+    )
+
+
+def _advance(rng, *stacks) -> None:
+    """Move every stack's clock forward by the same random gap, so the
+    walk sees both a busy server and one that went idle."""
+    gap = float(rng.choice([0.0, 1.5, 40.0, 400.0]))
+    for stack in stacks:
+        engine = stack.vaults[0].resource._engine
+        engine.schedule(gap, lambda: None)
+        engine.run()
 
 
 def _assert_same_stack_state(batched: MemoryStack, scalar: MemoryStack) -> None:
@@ -140,49 +166,49 @@ def _assert_same_stack_state(batched: MemoryStack, scalar: MemoryStack) -> None:
         assert rb.transfers == rs.transfers
 
 
-def test_vault_service_batch_matches_scalar_services():
-    rng = np.random.default_rng(20)
-    batched, scalar = _stack_pair()
+def _check_scatter_against_scalar(backend, seed, pick_vaults) -> None:
+    """``service_scatter`` over each random access equals one
+    ``service`` call per line: same latest completion, same state."""
+    rng = np.random.default_rng(seed)
+    batched, scalar = _stack_pair(backend)
     for ids in _random_accesses(rng, 200, span_lines=1 << 16):
         addresses = [i << 7 for i in ids]
-        vault = int(rng.integers(0, len(batched.vaults)))
-        done_batch = batched.service_batch(vault, addresses, LINE_BYTES)
-        done_scalar = max(
-            scalar.service(vault, address, LINE_BYTES) for address in addresses
-        )
-        assert done_batch == done_scalar
-    _assert_same_stack_state(batched, scalar)
-
-
-def test_service_scatter_matches_scalar_services():
-    rng = np.random.default_rng(21)
-    batched, scalar = _stack_pair()
-    n_vaults = len(batched.vaults)
-    for ids in _random_accesses(rng, 200, span_lines=1 << 16):
-        addresses = [i << 7 for i in ids]
-        vaults = [int(v) for v in rng.integers(0, n_vaults, size=len(addresses))]
+        vaults = pick_vaults(rng, addresses, len(batched.vaults))
+        _advance(rng, batched, scalar)
+        now = batched.vaults[0].resource._engine.now
         done_batch = batched.service_scatter(vaults, addresses, LINE_BYTES)
         done_scalar = max(
-            scalar.service(v, a, LINE_BYTES) for v, a in zip(vaults, addresses)
+            [now]
+            + [scalar.service(v, a, LINE_BYTES) for v, a in zip(vaults, addresses)]
         )
         assert done_batch == done_scalar
     _assert_same_stack_state(batched, scalar)
 
 
-def test_service_interleaved_matches_scalar_services():
-    rng = np.random.default_rng(22)
-    batched, scalar = _stack_pair()
-    n_vaults = len(batched.vaults)
-    line_bits = 7
-    for ids in _random_accesses(rng, 200, span_lines=1 << 16):
-        addresses = [i << 7 for i in ids]
-        done_batch = batched.service_interleaved(addresses, LINE_BYTES, line_bits)
-        done_scalar = max(
-            scalar.service((a >> line_bits) % n_vaults, a, LINE_BYTES)
-            for a in addresses
-        )
-        assert done_batch == done_scalar
-    _assert_same_stack_state(batched, scalar)
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_service_scatter_same_vault_matches_scalar_services(backend):
+    def same_vault(rng, addresses, n_vaults):
+        return [int(rng.integers(0, n_vaults))] * len(addresses)
+
+    _check_scatter_against_scalar(backend, 20, same_vault)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_service_scatter_matches_scalar_services(backend):
+    def scattered(rng, addresses, n_vaults):
+        return [int(v) for v in rng.integers(0, n_vaults, size=len(addresses))]
+
+    _check_scatter_against_scalar(backend, 21, scattered)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_service_scatter_interleave_bits_matches_scalar_services(backend):
+    """The ideal-colocation vault spread: ``(line >> line_bits) % n``."""
+
+    def interleaved(rng, addresses, n_vaults):
+        return [(a >> 7) % n_vaults for a in addresses]
+
+    _check_scatter_against_scalar(backend, 22, interleaved)
 
 
 # -- allocation table -------------------------------------------------------

@@ -66,6 +66,25 @@ class TestSuite:
         assert main(["suite", "--scale", "TINY", "--resume"]) == 2
         assert "--resume requires --manifest" in capsys.readouterr().err
 
+    def test_non_integer_jobs_env_exits_2(self, capsys, monkeypatch):
+        monkeypatch.setenv("REPRO_JOBS", "abc")
+        assert main(["suite", "--scale", "TINY", "--workloads", "SP"]) == 2
+        err = capsys.readouterr().err
+        assert "REPRO_JOBS must be an integer" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("raw", ["nan", "inf"])
+    def test_non_finite_job_timeout_exits_2(self, capsys, monkeypatch, raw):
+        assert (
+            main(["suite", "--scale", "TINY", "--workloads", "SP",
+                  "--job-timeout", raw])
+            == 2
+        )
+        assert "positive finite number" in capsys.readouterr().err
+        monkeypatch.setenv("REPRO_JOB_TIMEOUT", raw)
+        assert main(["suite", "--scale", "TINY", "--workloads", "SP"]) == 2
+        assert "positive finite number" in capsys.readouterr().err
+
 
 class TestFigure:
     def test_sec66(self, capsys):

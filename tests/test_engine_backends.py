@@ -200,14 +200,13 @@ class TestBitIdentity:
         with pytest.raises(SimulationError):
             engine.schedule_at(-0.5, lambda: None)
 
-    def test_reserve_and_sequence_float_identical(self):
+    def test_reserve_float_identical(self):
         amounts = [1.0, 3.5, 64.0, 0.25, 17.0]
 
         def book(backend):
             engine = get_backend(backend).Engine()
             resource = engine.bandwidth_resource("link", 7.0, latency=2.5)
             times = [resource.reserve(a) for a in amounts]
-            times.append(resource.reserve_sequence(amounts))
             return (
                 times,
                 resource.busy_time,

@@ -10,6 +10,7 @@ no stripping in flag checks, stripping in numeric ones).
 import pytest
 
 from repro.config import env_flag, env_text
+from repro.errors import ConfigError
 
 
 class TestEnvText:
@@ -50,17 +51,6 @@ class TestEnvFlag:
 class TestReroutedKnobs:
     """Each consumer that moved onto the seam keeps its old behaviour."""
 
-    def test_lockstep_enabled(self, monkeypatch):
-        from repro.core.gridrun import lockstep_enabled
-
-        monkeypatch.delenv("REPRO_NO_GRID", raising=False)
-        assert lockstep_enabled() is True
-        monkeypatch.setenv("REPRO_NO_GRID", "1")
-        assert lockstep_enabled() is False
-        # Pre-seam quirk: only the exact lowercase spellings disable it.
-        monkeypatch.setenv("REPRO_NO_GRID", "TRUE")
-        assert lockstep_enabled() is True
-
     def test_cache_enabled(self, monkeypatch):
         from repro.core.result_cache import enabled
 
@@ -85,7 +75,7 @@ class TestReroutedKnobs:
         monkeypatch.setenv("REPRO_JOBS", "0")
         assert default_jobs() == 1
         monkeypatch.setenv("REPRO_JOBS", "two")
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             default_jobs()
 
     def test_supervisor_config_from_env(self, monkeypatch):
@@ -100,6 +90,20 @@ class TestReroutedKnobs:
         monkeypatch.setenv("REPRO_JOB_TIMEOUT", "soon")
         with pytest.raises(ConfigError):
             SupervisorConfig.from_env()
+
+    @pytest.mark.parametrize("raw", ["nan", "inf", "-inf", "NaN", "infinity"])
+    def test_supervisor_rejects_non_finite_timeout(self, monkeypatch, raw):
+        """A NaN deadline never expires and an infinite one overflows
+        ``concurrent.futures.wait``; both are configuration errors,
+        from the environment and from an explicit argument alike."""
+        from repro.core.supervisor import SupervisorConfig
+
+        monkeypatch.setenv("REPRO_JOB_TIMEOUT", raw)
+        with pytest.raises(ConfigError, match="finite"):
+            SupervisorConfig.from_env()
+        monkeypatch.delenv("REPRO_JOB_TIMEOUT")
+        with pytest.raises(ConfigError, match="finite"):
+            SupervisorConfig.from_env(timeout=float(raw))
 
     def test_default_scale(self, monkeypatch):
         from repro.analysis.figures import default_scale

@@ -4,10 +4,10 @@ The contract under test (repro.core.gridrun): running a grid of
 (policy, configuration) points through ``WorkloadRunner.run_grid`` is
 bit-identical to running each variant's policies sequentially through
 its own ``WorkloadRunner`` — the scalar ``Simulator`` stays the
-reference implementation. On top of that: deduplicated lanes replay
-their allocation-table side effects, faulted lanes evict to scalar
-replay without touching the rest of the grid, and ``REPRO_NO_GRID``
-forces the scalar path outright.
+reference implementation. On top of that: a lane's routing hook
+returns exactly the scalar simulator's groups, deduplicated lanes
+replay their allocation-table side effects, and faulted lanes evict to
+scalar replay without touching the rest of the grid.
 
 Set ``REPRO_FULL_GRID=1`` to also run the full 70-point Figure-8 SMALL
 grid equivalence check (several minutes; run before perf-sensitive
@@ -26,7 +26,19 @@ from hypothesis import strategies as st
 from repro import TraceScale, WorkloadRunner, ndp_config
 from repro.core import gridrun
 from repro.core.parallel import SuiteJob, execute_job
-from repro.core.policies import BASELINE, FIGURE8_GRID, IDEAL_NDP, NDP_CTRL_ORACLE
+from repro.core.policies import (
+    BASELINE,
+    FIGURE8_GRID,
+    IDEAL_NDP,
+    NDP_CTRL_BMAP,
+    NDP_CTRL_ORACLE,
+)
+from repro.core.simulator import Simulator
+from repro.memory.address_mapping import (
+    BaselineMapping,
+    ConsecutiveBitMapping,
+    HybridMapping,
+)
 from repro.workloads.suite import SUITE_ORDER
 
 GRID_POLICIES = (BASELINE,) + FIGURE8_GRID + (NDP_CTRL_ORACLE, IDEAL_NDP)
@@ -115,24 +127,56 @@ class TestBitIdentity:
                 )
 
 
-class TestEngagement:
-    def test_kill_switch_forces_scalar(self, monkeypatch):
-        monkeypatch.setenv("REPRO_NO_GRID", "1")
-        assert not gridrun.lockstep_enabled()
+class TestRoutingHook:
+    """The only lane override: ``_LaneSimulator._stack_groups`` reads
+    the shared plan for a fully off-chip access and must return what
+    the scalar hook computes, for every access and mapping."""
 
-        def boom(*args, **kwargs):
-            raise AssertionError("REPRO_NO_GRID must bypass the grid engine")
-
-        monkeypatch.setattr(gridrun, "run_grid", boom)
-        monkeypatch.setenv("REPRO_NO_CACHE", "1")
+    @pytest.mark.parametrize("mapping_kind", ["baseline", "consecutive", "hybrid"])
+    def test_lane_groups_equal_scalar_groups(self, mapping_kind):
         runner = WorkloadRunner("SP", scale=TraceScale.TINY)
-        got = runner.run_grid((BASELINE,) + FIGURE8_GRID[:1])
-        expected = _scalar_reference(
-            "SP", TraceScale.TINY, 0, (BASELINE,) + FIGURE8_GRID[:1]
-        )
-        for label, result in expected.items():
-            assert got[label] == result
+        trace = runner.trace
+        config = ndp_config()
+        pack = gridrun.TracePack(trace)
+        if mapping_kind == "baseline":
+            mapping = BaselineMapping(config)
+        elif mapping_kind == "consecutive":
+            mapping = ConsecutiveBitMapping(config, 12)
+        else:
+            # Every other touched page is a candidate page, so accesses
+            # mix learned and baseline routing.
+            page_bits = config.mapping.page_bytes.bit_length() - 1
+            pages = sorted({line >> page_bits for line in pack.lines_list})
+            mapping = HybridMapping(
+                config,
+                ConsecutiveBitMapping(config, 12),
+                candidate_pages=set(pages[::2]),
+            )
+        scalar = Simulator(trace, config, NDP_CTRL_BMAP)
+        lane = gridrun._LaneSimulator(trace, config, NDP_CTRL_BMAP, None, pack)
+        scalar._static_mapping = mapping
+        lane._static_mapping = mapping
 
+        def groups(simulator, access, off_chip):
+            return [
+                (stack, list(lines), list(vaults))
+                for stack, lines, vaults in simulator._stack_groups(access, off_chip)
+            ]
+
+        accesses = trace.access_arrays().accesses
+        partial = 0
+        for access in accesses:
+            full = list(access.line_addresses)
+            assert groups(lane, access, full) == groups(scalar, access, full)
+            if len(full) > 1:
+                subset = full[::2]
+                partial += 1
+                assert groups(lane, access, subset) == groups(scalar, access, subset)
+        assert partial > 0
+        assert lane._plans is not None  # the plan path was taken
+
+
+class TestEngagement:
     def test_execute_job_routes_multi_policy_jobs_to_grid(self, monkeypatch):
         calls = []
         original = WorkloadRunner.run_grid

@@ -11,17 +11,27 @@ import pytest
 
 from repro.config import SystemConfig, ndp_config
 from repro.core.experiment import run_suite
-from repro.core.parallel import SuiteJob, default_jobs, execute_job, run_jobs
+from repro.core.parallel import SuiteJob, default_jobs, execute_job
 from repro.core.policies import (
     NDP_CTRL_BMAP,
     NDP_CTRL_TMAP,
     NDP_NOCTRL_BMAP,
 )
 from repro.core.simulator import Simulator
+from repro.core.supervisor import run_supervised
+from repro.errors import ConfigError
 from repro.trace.generator import TraceScale
 
 POLICIES = (NDP_CTRL_BMAP, NDP_CTRL_TMAP, NDP_NOCTRL_BMAP)
 WORKLOADS = ["SP", "RD"]
+
+
+def _run_all(jobs, n_jobs):
+    """Supervise ``jobs`` and return their result maps in submission
+    order, asserting that none failed."""
+    outcomes = run_supervised(jobs, n_jobs=n_jobs)
+    assert [outcome.failure for outcome in outcomes] == [None] * len(jobs)
+    return [outcome.results for outcome in outcomes]
 
 
 @pytest.fixture
@@ -41,7 +51,7 @@ class TestDefaultJobs:
 
     def test_bad_env_rejected(self, monkeypatch):
         monkeypatch.setenv("REPRO_JOBS", "many")
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             default_jobs()
 
     def test_default_is_cpu_count(self, monkeypatch):
@@ -76,7 +86,7 @@ class TestSerialParallelEquality:
         """One job simulates all of a workload's policies against the
         same trace: warp_instructions agree across policies (the
         speedup_over() precondition)."""
-        (job_results,) = run_jobs(
+        (job_results,) = _run_all(
             [SuiteJob("SP", POLICIES, TraceScale.TINY, 0)], n_jobs=1
         )
         counts = {r.warp_instructions for r in job_results.values()}
@@ -86,7 +96,7 @@ class TestSerialParallelEquality:
 class TestFallbacks:
     def test_single_job_runs_inline(self, no_persistent_cache):
         job = SuiteJob("SP", (NDP_CTRL_BMAP,), TraceScale.TINY, 0)
-        (results,) = run_jobs([job], n_jobs=4)  # 1 job -> no pool
+        (results,) = _run_all([job], n_jobs=4)  # 1 job -> no pool
         assert results[NDP_CTRL_BMAP.label].cycles > 0
 
     def test_unpicklable_job_falls_back_to_serial(self, no_persistent_cache):
@@ -100,7 +110,7 @@ class TestFallbacks:
             0,
             ndp_configuration=LocalConfig(),
         )
-        results = run_jobs([job, job], n_jobs=2)
+        results = _run_all([job, job], n_jobs=2)
         assert len(results) == 2
         assert results[0] == results[1]
 
