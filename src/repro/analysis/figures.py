@@ -33,6 +33,7 @@ from ..core.policies import (
 )
 from ..core.results import SimulationResult
 from ..energy.area import estimate_area
+from ..errors import ConfigError
 from ..memory.allocation import TABLE_BITS as ALLOC_TABLE_BITS
 from ..ndp.analyzer import BITS_PER_INSTANCE
 from ..trace.generator import TraceScale, build_trace
@@ -46,7 +47,13 @@ SuiteResults = Dict[str, Dict[str, SimulationResult]]
 
 
 def default_scale() -> TraceScale:
-    name = env_text("REPRO_BENCH_SCALE", "SMALL").upper()
+    raw = env_text("REPRO_BENCH_SCALE", "SMALL")
+    name = raw.upper()
+    if name not in TraceScale.__members__:
+        raise ConfigError(
+            f"REPRO_BENCH_SCALE={raw!r} is not a scale (known: "
+            f"{', '.join(s.name for s in TraceScale)})"
+        )
     return TraceScale[name]
 
 
@@ -452,10 +459,10 @@ def section66() -> FigureResult:
 
 
 #: Every figure driver by its external name — the single source of
-#: truth the CLI (``repro-tom figure``), the bundle exporter, and the
-#: service (``repro-tom serve``) resolve figure names through. Each
-#: value accepts ``scale``/``seed`` keyword arguments where the figure
-#: is parameterized by them (``section66`` is not).
+#: truth the CLI (``repro-tom figure``) and the bundle exporter resolve
+#: figure names through. Each value accepts ``scale``/``seed`` keyword
+#: arguments where the figure is parameterized by them (``section66``
+#: is not).
 FIGURE_BUILDERS = {
     "fig2": figure2,
     "fig3": figure3,

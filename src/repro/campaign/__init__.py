@@ -1,5 +1,5 @@
 """Campaign layer: declare a parameter product, run it incrementally,
-serve the results.
+report its status.
 
 Every TOM evaluation is a sweep — workload x configuration x policy x
 seed — and at benchmark-suite scale those sweeps have to be declared,
@@ -16,14 +16,10 @@ hoc. This package is that layer, sitting above the supervised executor
   points already answered by the persistent result cache or a prior
   run's JSONL manifest, fans the remainder out through the supervised
   job engine, streams the manifest as outcomes land, and rolls results
-  up into per-campaign summary tables;
-* :mod:`repro.campaign.service` — :class:`CampaignService`, a
-  stdlib-only async HTTP front end (``repro-tom serve``) answering
-  warm figure/run queries straight from the cache and enqueuing cold
-  misses as campaign jobs (202 + poll URL).
+  up into per-campaign summary tables.
 
-See ``docs/CAMPAIGNS.md`` for the spec format, skip/resume semantics,
-and the service API.
+See ``docs/CAMPAIGNS.md`` for the spec format and skip/resume
+semantics.
 """
 
 from .driver import (
@@ -34,14 +30,12 @@ from .driver import (
     run_campaign,
 )
 from .spec import CampaignConfig, CampaignPoint, CampaignSpec, load_spec
-from .service import CampaignService
 
 __all__ = [
     "CampaignConfig",
     "CampaignDriver",
     "CampaignPoint",
     "CampaignReport",
-    "CampaignService",
     "CampaignSpec",
     "CampaignStatus",
     "default_manifest_path",

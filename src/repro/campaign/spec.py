@@ -36,12 +36,12 @@ declaration always yields the same points, in the same order, with the
 same ``point_id``s (a SHA-256 over the point's identity including the
 resolved configuration — but *not* the code version, so campaign
 identity survives code changes; the result cache's own keys handle
-invalidation). That determinism is what makes skip-completed, resume,
-and the service's cache-or-enqueue decision trustworthy.
+invalidation). That determinism is what makes skip-completed and
+resume trustworthy.
 
-TOML is parsed with :mod:`tomllib` where available (Python >= 3.11)
-and otherwise with a small built-in fallback parser covering the
-subset above — no third-party dependency either way.
+TOML is parsed with the standard library's :mod:`tomllib`. Malformed
+input of any shape — bad syntax, a wrong type, an unknown name — is a
+:class:`~repro.errors.ConfigError`.
 """
 
 from __future__ import annotations
@@ -49,19 +49,27 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import json
+import tomllib
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Sequence, Tuple
 
 from ..config import SystemConfig, content_digest, ndp_config
 from ..core.policies import POLICIES_BY_LABEL
 from ..errors import ConfigError
-from ..trace.generator import TraceScale
+from ..trace.generator import TraceScale, check_seed
 from ..workloads.suite import SUITE_ORDER
 
 #: The axes a pin or exclusion clause may name.
 _AXES = ("workload", "policy", "scale", "seed", "config")
+
+#: The values each name-valued axis accepts.
+_KNOWN = {
+    "workload": tuple(SUITE_ORDER),
+    "policy": tuple(sorted(POLICIES_BY_LABEL)),
+    "scale": tuple(s.name for s in TraceScale),
+}
 
 
 def apply_overrides(
@@ -133,7 +141,7 @@ class CampaignConfig:
 @dataclass(frozen=True)
 class CampaignPoint:
     """One expanded point of the product. ``point_id`` is the content
-    address the driver, manifest roll-ups, and the service key on."""
+    address the driver and manifest roll-ups key on."""
 
     point_id: str
     workload: str
@@ -169,6 +177,11 @@ class CampaignSpec:
         if not isinstance(data, Mapping):
             raise ConfigError("campaign spec must be a table/object")
         axes = data.get("axes", data)
+        if not isinstance(axes, Mapping):
+            raise ConfigError(
+                f"campaign spec 'axes': expected a table, got "
+                f"{type(axes).__name__} {axes!r}"
+            )
         workloads = axes.get("workloads")
         if workloads == "suite":
             workloads = list(SUITE_ORDER)
@@ -183,76 +196,63 @@ class CampaignSpec:
             )
         if not policies or not isinstance(policies, (list, tuple)):
             raise ConfigError("campaign spec needs a 'policies' list")
-        scales = axes.get("scales", ["SMALL"])
-        seeds = axes.get("seeds", [0])
         configs: List[CampaignConfig] = []
-        for raw in data.get("configs", [{"name": "default"}]):
-            cfg_name = raw.get("name")
+        for raw in _array(data, "configs", [{"name": "default"}]):
+            cfg_name = raw.get("name") if isinstance(raw, Mapping) else None
             if not cfg_name or not isinstance(cfg_name, str):
-                raise ConfigError("every [[configs]] entry needs a 'name'")
-            overrides = raw.get("overrides", {})
-            if not isinstance(overrides, Mapping):
                 raise ConfigError(
-                    f"config {cfg_name!r}: 'overrides' must be a table"
+                    f"every [[configs]] entry needs a 'name', got {raw!r}"
                 )
-            configs.append(
-                CampaignConfig(
-                    name=cfg_name,
-                    overrides=tuple(
-                        (k, _freeze(overrides[k])) for k in sorted(overrides)
-                    ),
-                )
+            overrides = _table(
+                raw.get("overrides", {}), f"config {cfg_name!r}: 'overrides'"
             )
-        exclude = tuple(
-            tuple((k, _freeze(clause[k])) for k in sorted(clause))
-            for clause in data.get("exclude", [])
-        )
-        pin_raw = data.get("pin", {})
-        pin = tuple((k, _freeze(pin_raw[k])) for k in sorted(pin_raw))
+            configs.append(CampaignConfig(name=cfg_name, overrides=overrides))
         spec = cls(
             name=name,
             workloads=tuple(workloads),
             policies=tuple(policies),
-            scales=tuple(scales),
-            seeds=tuple(int(s) for s in seeds),
+            scales=tuple(_array(axes, "scales", ["SMALL"])),
+            seeds=tuple(
+                check_seed(s, "seeds") for s in _array(axes, "seeds", [0])
+            ),
             configs=tuple(configs),
-            exclude=exclude,
-            pin=pin,
+            exclude=tuple(
+                _table(clause, "exclude")
+                for clause in _array(data, "exclude", [])
+            ),
+            pin=_table(data.get("pin", {}), "pin"),
         )
         spec.validate()
         return spec
 
     def validate(self) -> "CampaignSpec":
-        labels = POLICIES_BY_LABEL
-        for workload in self.workloads:
-            if workload not in SUITE_ORDER:
-                raise ConfigError(
-                    f"unknown workload {workload!r} (suite: "
-                    f"{', '.join(SUITE_ORDER)})"
-                )
-        for policy in self.policies:
-            if policy not in labels:
-                raise ConfigError(
-                    f"unknown policy {policy!r} (known: "
-                    f"{', '.join(sorted(labels))})"
-                )
-        for scale in self.scales:
-            if scale not in TraceScale.__members__:
-                raise ConfigError(
-                    f"unknown scale {scale!r} (known: "
-                    f"{', '.join(s.name for s in TraceScale)})"
-                )
+        for axis, values in (
+            ("workload", self.workloads),
+            ("policy", self.policies),
+            ("scale", self.scales),
+        ):
+            for value in values:
+                _check_known(axis, value)
+        for seed in self.seeds:
+            check_seed(seed, "seeds")
         seen = set()
         for config in self.configs:
             if config.name in seen:
                 raise ConfigError(f"duplicate config name {config.name!r}")
             seen.add(config.name)
         self.resolved_configs  # raises ConfigError on a bad override
-        for key, _ in self.pin:
+        for key, value in self.pin:
             if key not in _AXES:
                 raise ConfigError(
                     f"pin axis {key!r} unknown (axes: {', '.join(_AXES)})"
                 )
+            if key == "seed":
+                check_seed(value, "pinned seed")
+            elif key == "config":
+                if not isinstance(value, str) or value not in seen:
+                    raise ConfigError(f"pinned config {value!r} is not declared")
+            else:
+                _check_known(key, value)
         for clause in self.exclude:
             for key, _ in clause:
                 if key not in _AXES:
@@ -297,18 +297,15 @@ class CampaignSpec:
     # -- expansion -----------------------------------------------------
 
     def _pinned_axes(self) -> Tuple[List[str], List[str], List[str], List[int], List[str]]:
-        pin = dict(self.pin)
-        workloads = [str(pin["workload"])] if "workload" in pin else list(self.workloads)
-        policies = [str(pin["policy"])] if "policy" in pin else list(self.policies)
-        scales = [str(pin["scale"])] if "scale" in pin else list(self.scales)
-        seeds = [int(pin["seed"])] if "seed" in pin else list(self.seeds)  # type: ignore[arg-type]
-        config_names = [c.name for c in self.configs]
+        pin = dict(self.pin)  # values checked by validate()
+        workloads = [pin["workload"]] if "workload" in pin else list(self.workloads)
+        policies = [pin["policy"]] if "policy" in pin else list(self.policies)
+        scales = [pin["scale"]] if "scale" in pin else list(self.scales)
+        seeds = [int(pin["seed"])] if "seed" in pin else list(self.seeds)
         if "config" in pin:
-            config_names = [str(pin["config"])]
-            if config_names[0] not in {c.name for c in self.configs}:
-                raise ConfigError(
-                    f"pinned config {config_names[0]!r} is not declared"
-                )
+            config_names = [pin["config"]]
+        else:
+            config_names = [c.name for c in self.configs]
         return workloads, policies, scales, seeds, config_names
 
     def _excluded(self, values: Mapping[str, object]) -> bool:
@@ -392,17 +389,45 @@ def _freeze(value):
     return value
 
 
+def _array(table: Mapping, key: str, default: list) -> list:
+    """``table[key]`` (or ``default``), which must be a list."""
+    value = table.get(key, default)
+    if not isinstance(value, (list, tuple)):
+        raise ConfigError(
+            f"campaign spec {key!r}: expected a list, got "
+            f"{type(value).__name__} {value!r}"
+        )
+    return list(value)
+
+
+def _table(value, what: str) -> Tuple[Tuple[str, object], ...]:
+    """A string-keyed table frozen to sorted ``(key, value)`` pairs."""
+    if not isinstance(value, Mapping) or not all(
+        isinstance(key, str) for key in value
+    ):
+        raise ConfigError(
+            f"{what}: expected a table, got {type(value).__name__} {value!r}"
+        )
+    return tuple((key, _freeze(value[key])) for key in sorted(value))
+
+
+def _check_known(axis: str, value: object) -> None:
+    if not isinstance(value, str) or value not in _KNOWN[axis]:
+        raise ConfigError(
+            f"unknown {axis} {value!r} (known: {', '.join(_KNOWN[axis])})"
+        )
+
+
 # -- file loading -----------------------------------------------------------
 
 
 def load_spec(path) -> CampaignSpec:
     """Load a campaign spec from a TOML or JSON file. ``.json`` parses
-    as JSON; anything else parses as TOML (via :mod:`tomllib` on
-    Python >= 3.11, else the built-in fallback subset parser)."""
+    as JSON; anything else parses as TOML."""
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
-    except OSError as error:
+    except (OSError, UnicodeDecodeError) as error:
         raise ConfigError(f"cannot read campaign spec {path}: {error}") from None
     if path.suffix.lower() == ".json":
         try:
@@ -415,178 +440,9 @@ def load_spec(path) -> CampaignSpec:
 
 
 def parse_toml(text: str, source: str = "<campaign spec>") -> Dict:
-    """Parse TOML with :mod:`tomllib` when the interpreter has it,
-    falling back to the subset parser below (Python 3.10 support —
-    no new dependency either way)."""
-    try:
-        import tomllib
-    except ImportError:
-        return _parse_toml_fallback(text, source)
+    """Parse TOML with :mod:`tomllib`; malformed text raises
+    :class:`ConfigError`."""
     try:
         return tomllib.loads(text)
     except tomllib.TOMLDecodeError as error:
         raise ConfigError(f"bad TOML in {source}: {error}") from None
-
-
-def _parse_toml_fallback(text: str, source: str) -> Dict:
-    """A deliberately small TOML subset parser: ``[tables]``,
-    ``[[arrays of tables]]``, bare/quoted keys (quoted keys may contain
-    dots), strings, integers, floats, booleans, and single-line arrays.
-    Exactly what a campaign spec needs; anything fancier should use a
-    Python >= 3.11 interpreter or a ``.json`` spec."""
-    root: Dict = {}
-    current: Dict = root
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if line.startswith("[["):
-            if not line.endswith("]]"):
-                raise ConfigError(f"{source}:{lineno}: malformed table array header")
-            parts = _split_key(line[2:-2].strip(), source, lineno)
-            parent = _navigate(root, parts[:-1], source, lineno)
-            array = parent.setdefault(parts[-1], [])
-            if not isinstance(array, list):
-                raise ConfigError(
-                    f"{source}:{lineno}: {'.'.join(parts)} is not a table array"
-                )
-            current = {}
-            array.append(current)
-        elif line.startswith("["):
-            if not line.endswith("]"):
-                raise ConfigError(f"{source}:{lineno}: malformed table header")
-            parts = _split_key(line[1:-1].strip(), source, lineno)
-            parent = _navigate(root, parts[:-1], source, lineno)
-            existing = parent.get(parts[-1])
-            if existing is None:
-                current = {}
-                parent[parts[-1]] = current
-            elif isinstance(existing, dict):
-                current = existing
-            else:
-                raise ConfigError(
-                    f"{source}:{lineno}: {'.'.join(parts)} is not a table"
-                )
-        else:
-            key_text, sep, value_text = _partition_assignment(line)
-            if not sep:
-                raise ConfigError(f"{source}:{lineno}: expected 'key = value'")
-            parts = _split_key(key_text.strip(), source, lineno)
-            target = _navigate(current, parts[:-1], source, lineno)
-            target[parts[-1]] = _parse_value(value_text.strip(), source, lineno)
-    return root
-
-
-def _partition_assignment(line: str) -> Tuple[str, str, str]:
-    """Split on the first ``=`` outside quotes (keys may be quoted and
-    contain ``=``-free dots; values may contain ``=`` inside strings)."""
-    quote: Optional[str] = None
-    for i, ch in enumerate(line):
-        if quote:
-            if ch == quote:
-                quote = None
-        elif ch in "\"'":
-            quote = ch
-        elif ch == "=":
-            return line[:i], "=", line[i + 1 :]
-    return line, "", ""
-
-
-def _split_key(text: str, source: str, lineno: int) -> List[str]:
-    """Dotted keys split on dots; quoted segments keep their dots."""
-    parts: List[str] = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch in "\"'":
-            end = text.find(ch, i + 1)
-            if end < 0:
-                raise ConfigError(f"{source}:{lineno}: unterminated quoted key")
-            parts.append(text[i + 1 : end])
-            i = end + 1
-        else:
-            end = text.find(".", i)
-            if end < 0:
-                end = n
-            segment = text[i:end].strip()
-            if segment:
-                parts.append(segment)
-            i = end
-        if i < n:
-            if text[i].strip() and text[i] != ".":
-                raise ConfigError(f"{source}:{lineno}: malformed key {text!r}")
-            i += 1
-    if not parts:
-        raise ConfigError(f"{source}:{lineno}: empty key")
-    return parts
-
-
-def _navigate(container: Dict, parts: Sequence[str], source: str, lineno: int) -> Dict:
-    for part in parts:
-        nxt = container.setdefault(part, {})
-        if isinstance(nxt, list):
-            if not nxt:
-                raise ConfigError(f"{source}:{lineno}: empty table array {part!r}")
-            nxt = nxt[-1]
-        if not isinstance(nxt, dict):
-            raise ConfigError(f"{source}:{lineno}: {part!r} is not a table")
-        container = nxt
-    return container
-
-
-def _parse_value(text: str, source: str, lineno: int):
-    if not text:
-        raise ConfigError(f"{source}:{lineno}: missing value")
-    if text[0] in "\"'":
-        if len(text) < 2 or text[-1] != text[0]:
-            raise ConfigError(f"{source}:{lineno}: unterminated string")
-        return text[1:-1]
-    if text.startswith("["):
-        if not text.endswith("]"):
-            raise ConfigError(
-                f"{source}:{lineno}: arrays must close on the same line"
-            )
-        return [
-            _parse_value(item, source, lineno)
-            for item in _split_array(text[1:-1], source, lineno)
-        ]
-    if text == "true":
-        return True
-    if text == "false":
-        return False
-    try:
-        return int(text)
-    except ValueError:
-        pass
-    try:
-        return float(text)
-    except ValueError:
-        raise ConfigError(f"{source}:{lineno}: cannot parse value {text!r}") from None
-
-
-def _split_array(body: str, source: str, lineno: int) -> List[str]:
-    items: List[str] = []
-    depth = 0
-    quote: Optional[str] = None
-    start = 0
-    for i, ch in enumerate(body):
-        if quote:
-            if ch == quote:
-                quote = None
-        elif ch in "\"'":
-            quote = ch
-        elif ch == "[":
-            depth += 1
-        elif ch == "]":
-            depth -= 1
-        elif ch == "," and depth == 0:
-            item = body[start:i].strip()
-            if item:
-                items.append(item)
-            start = i + 1
-    tail = body[start:].strip()
-    if tail:
-        items.append(tail)
-    if quote or depth:
-        raise ConfigError(f"{source}:{lineno}: malformed array")
-    return items

@@ -46,11 +46,6 @@ Subcommands::
         without running anything; exits 0 only when the campaign is
         complete.
 
-    repro-tom serve --port 8177
-        Simulation-as-a-service: answer figure/run queries from the
-        warm cache over HTTP, enqueue cold queries as background jobs
-        (202 + poll URL). See docs/CAMPAIGNS.md for the API.
-
 Exit code 0 on success; errors print to stderr and exit 2; a suite or
 campaign run that completes with partial results (some jobs failed
 permanently) exits 3, as does ``campaign status`` for an incomplete
@@ -239,14 +234,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="classify every point without running anything",
         parents=[spec_parent],
     )
-
-    serve = sub.add_parser(
-        "serve",
-        help="HTTP front end: warm queries answered, cold ones enqueued",
-        parents=[engine_parent],
-    )
-    serve.add_argument("--host", default="127.0.0.1")
-    serve.add_argument("--port", type=int, default=8177)
     return parser
 
 
@@ -461,13 +448,6 @@ def _cmd_campaign(args) -> int:
     return 0
 
 
-def _cmd_serve(args) -> int:
-    from .campaign import CampaignService
-
-    CampaignService(host=args.host, port=args.port).run()
-    return 0
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     # Export the engine choice before any simulation is constructed so
@@ -484,7 +464,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             "report": _cmd_report,
             "bundle": _cmd_bundle,
             "campaign": _cmd_campaign,
-            "serve": _cmd_serve,
         }[args.command](args)
     except ReproError as error:
         print(f"error: {error}", file=sys.stderr)

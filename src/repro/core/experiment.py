@@ -27,7 +27,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from ..config import SystemConfig, baseline_config, ndp_config
 from ..errors import ConfigError, JobExecutionError
-from ..trace.generator import TraceScale, WorkloadTrace, build_trace
+from ..trace.generator import TraceScale, WorkloadTrace, build_trace, check_seed
 from ..utils.stats import geometric_mean
 from ..workloads.base import PaperWorkload, make_workload
 from ..workloads.suite import SUITE_ORDER
@@ -372,6 +372,7 @@ def run_suite_supervised(
     :class:`repro.obs.TraceRecorder`) receives one job-lifecycle event
     per outcome.
     """
+    check_seed(seed)  # before any job reaches a worker
     names = list(workloads) if workloads is not None else list(SUITE_ORDER)
     wanted = _suite_policies(policies, include_baseline)
     trace_config = ndp_configuration or ndp_config()

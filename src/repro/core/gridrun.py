@@ -65,7 +65,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from ..config import SystemConfig
 from ..errors import ConfigError
 from ..gpu.warp import CandidateSegment, WarpAccess
-from ..guard import check_simulation_allowed
 from ..mapping.transparent import TransparentDataMapping, candidate_instances, learn_offline
 from ..memory.address_mapping import (
     AddressMapping,
@@ -425,7 +424,6 @@ def run_grid(
     allocation table (sequential-runner semantics); every other variant
     gets a pristine copy, as a fresh runner would have built.
     """
-    check_simulation_allowed("gridrun.run_grid")
     own_fingerprint = trace_fingerprint(trace_config)
     variants: List[_Variant] = []
     for index, request in enumerate(requests):

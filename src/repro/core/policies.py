@@ -89,8 +89,8 @@ FIGURE8_GRID = (
 #: Every named policy, and the label -> policy registry the CLI and the
 #: campaign layer resolve user-supplied labels through. Labels are the
 #: canonical external names (``baseline``, ``ctrl+tmap``, ...); keep
-#: this the single source of truth so a campaign spec, the CLI
-#: ``--policy`` choices, and the service API can never disagree.
+#: this the single source of truth so a campaign spec and the CLI
+#: ``--policy`` choices can never disagree.
 ALL_POLICIES = (
     BASELINE,
     NDP_NOCTRL_BMAP,

@@ -51,7 +51,6 @@ from typing import Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
 from ..config import env_text
 from ..errors import ConfigError
-from ..guard import check_simulation_allowed
 from .parallel import SuiteJob, default_jobs
 from .results import SimulationResult
 
@@ -298,12 +297,6 @@ def run_supervised(
     completion order there, but the returned list is submission-ordered.
     """
     jobs = list(jobs)
-    # Cache-only evaluation (repro/guard.py): pool workers would not
-    # inherit the caller's thread-local guard, so the dispatch itself
-    # is the barrier — a non-empty batch under the guard is a cold
-    # query, surfaced before any process is forked.
-    if jobs:
-        check_simulation_allowed(f"dispatch of {len(jobs)} job(s)")
     cfg = config if config is not None else SupervisorConfig.from_env()
     workers = n_jobs if n_jobs is not None else default_jobs()
     workers = min(workers, len(jobs))

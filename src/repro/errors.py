@@ -38,12 +38,6 @@ class SimulationError(ReproError):
     """The discrete-event simulation reached an invalid state."""
 
 
-class SimulationDenied(ReproError):
-    """Heavy work (trace build, job dispatch, simulation) was attempted
-    inside a :func:`repro.guard.deny_simulation` cache-only context —
-    the query the caller is evaluating is *cold*, not warm."""
-
-
 class JobExecutionError(SimulationError):
     """One or more supervised suite jobs failed permanently.
 

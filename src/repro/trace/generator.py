@@ -15,6 +15,7 @@ Everything is deterministic under (workload, config, scale, seed).
 from __future__ import annotations
 
 import enum
+import numbers
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -23,9 +24,8 @@ import numpy as np
 from ..compiler.candidates import SelectionResult, select_candidates
 from ..compiler.metadata import OffloadMetadataTable
 from ..config import SystemConfig
-from ..errors import TraceError
+from ..errors import ConfigError, TraceError
 from ..gpu.coalescer import Coalescer
-from ..guard import check_simulation_allowed
 from ..gpu.warp import CandidateSegment, PlainSegment, WarpAccess, WarpTask
 from ..isa.kernel import Kernel
 from ..memory.allocation import MemoryAllocationTable
@@ -156,6 +156,25 @@ class TraceModel:
         return 32
 
 
+def check_seed(seed: object, what: str = "seed") -> int:
+    """Return ``seed`` as an ``int`` if it is a valid trace seed — a
+    non-negative integer, and not a bool — else raise
+    :class:`ConfigError`. The single check behind ``--seed``, campaign
+    seed axes and pins, and :func:`build_trace` (where
+    ``numpy.random.default_rng`` would reject a negative seed with a
+    bare ``ValueError``)."""
+    if (
+        isinstance(seed, bool)
+        or not isinstance(seed, numbers.Integral)
+        or seed < 0
+    ):
+        raise ConfigError(
+            f"{what}: expected a non-negative int, got "
+            f"{type(seed).__name__} {seed!r}"
+        )
+    return int(seed)
+
+
 def build_trace(
     model: TraceModel,
     config: SystemConfig,
@@ -163,7 +182,7 @@ def build_trace(
     seed: int = 0,
 ) -> WorkloadTrace:
     """Generate the full trace for one workload."""
-    check_simulation_allowed("build_trace")
+    check_seed(seed)
     kernel = model.build_kernel()
     selection = select_candidates(
         kernel, config.compiler, config.messages, config.gpu.warp_size

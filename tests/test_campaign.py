@@ -1,7 +1,7 @@
 """Tests for the campaign layer (repro.campaign): spec expansion
-determinism, skip-completed semantics against cache and manifest,
-resume after injected faults, the simulation guard, the HTTP service's
-warm/cold contract, and the CLI's exit-code conventions.
+determinism, rejection of malformed specs, skip-completed semantics
+against cache and manifest, resume after injected faults, and the
+CLI's exit-code conventions.
 
 Everything runs at TINY scale with REPRO_JOBS=1 (inline supervised
 execution) so the whole file stays fast; the zero-simulation
@@ -11,9 +11,12 @@ in this process — exactly what inline execution gives us.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import cli
 from repro.campaign import (
@@ -22,12 +25,12 @@ from repro.campaign import (
     default_manifest_path,
     load_spec,
 )
-from repro.campaign.spec import _parse_toml_fallback, apply_overrides, parse_toml
+from repro.campaign.spec import apply_overrides, parse_toml
 from repro.config import ndp_config
 from repro.core import simulator
-from repro.errors import ConfigError, ReproError, SimulationDenied
-from repro.guard import deny_simulation, simulation_denied
+from repro.errors import ConfigError
 from repro.trace.generator import TraceScale
+from repro.workloads.suite import SUITE_ORDER
 
 
 @pytest.fixture(autouse=True)
@@ -75,6 +78,133 @@ policy = "ctrl+tmap"
 [pin]
 seed = 0
 """
+
+#: Wrong shapes and values for spec fields, each merged into a valid
+#: one-point spec; every one must be a ConfigError (CLI exit 2).
+MALFORMED = {
+    "seed-str": {"seeds": ["x"]},
+    "seeds-int": {"seeds": 7},
+    "seed-float": {"seeds": [1.5]},
+    "seed-bool": {"seeds": [True]},
+    "seed-negative": {"seeds": [-1]},
+    "exclude-table": {"exclude": {"workload": "BP"}},
+    "configs-table": {"configs": {"name": "x"}},
+    "config-entry-str": {"configs": ["x"]},
+    "overrides-list": {"configs": [{"name": "x", "overrides": [1]}]},
+    "pin-list": {"pin": ["x"]},
+    "pin-seed-negative": {"pin": {"seed": -1}},
+    "pin-seed-str": {"pin": {"seed": "0"}},
+    "pin-scale-unknown": {"pin": {"scale": "HUGE"}},
+    "pin-workload-unknown": {"pin": {"workload": "NOPE"}},
+    "pin-config-table": {"pin": {"config": {}}},
+    "axes-int": {"axes": 5},
+    "scale-list": {"scales": [["TINY"]]},
+    "policy-table": {"policies": [{"p": 1}]},
+}
+
+
+def _override_values(obj, prefix=""):
+    """Every dotted leaf path of a SystemConfig with its default value."""
+    for f in dataclasses.fields(obj):
+        value = getattr(obj, f.name)
+        if dataclasses.is_dataclass(value):
+            yield from _override_values(value, f"{prefix}{f.name}.")
+        else:
+            yield f"{prefix}{f.name}", value
+
+
+_DEFAULTS = dict(_override_values(ndp_config()))
+_TOKENS = st.sampled_from(
+    list(SUITE_ORDER)
+    + ["suite", "baseline", "ctrl+tmap", "TINY", "SMALL", "HUGE", "default"]
+    + ["workload", "policy", "scale", "seed", "config", "NOPE"]
+)
+_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-2, 3),
+    st.integers(),
+    st.floats(),
+    st.text(max_size=4),
+    _TOKENS,
+)
+_JSON = st.recursive(
+    _SCALARS,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4) | _TOKENS, inner, max_size=3),
+    max_leaves=8,
+)
+
+
+def _mostly(valid):
+    """Mostly ``valid``, sometimes arbitrary JSON."""
+    return st.sampled_from([True] * 4 + [False]).flatmap(
+        lambda plausible: valid if plausible else _JSON
+    )
+
+
+def _axis(values):
+    return _mostly(st.lists(_mostly(values), min_size=1, max_size=3))
+
+
+#: A field override: mostly the field's default (or a scalar of the
+#: same type), sometimes any scalar.
+_OVERRIDE = st.sampled_from(sorted(_DEFAULTS)).flatmap(
+    lambda path: st.tuples(
+        st.just(path),
+        st.one_of(st.just(_DEFAULTS[path]), st.from_type(type(_DEFAULTS[path])))
+        | _SCALARS,
+    )
+)
+
+@st.composite
+def _spec_like(draw):
+    """Spec-shaped JSON: the known keys, each holding mostly plausible
+    values with arbitrary JSON mixed in at every level; the axes sit
+    either at the top level or under ``axes``."""
+    axes = draw(
+        st.fixed_dictionaries(
+            {
+                "workloads": st.just("suite")
+                | _axis(st.sampled_from(SUITE_ORDER)),
+                "policies": _axis(st.sampled_from(["baseline", "ctrl+tmap"])),
+            },
+            optional={
+                "scales": _axis(st.sampled_from(["TINY", "SMALL"])),
+                "seeds": _axis(st.integers(0, 3)),
+            },
+        )
+    )
+    config = st.fixed_dictionaries(
+        {"name": _mostly(st.sampled_from(["default", "b"]))},
+        optional={"overrides": _mostly(st.lists(_OVERRIDE, max_size=2).map(dict))},
+    )
+    data = draw(
+        st.fixed_dictionaries(
+            {"name": _mostly(st.just("h"))},
+            optional={
+                "configs": _mostly(
+                    st.lists(_mostly(config), min_size=1, max_size=2)
+                ),
+                "exclude": _mostly(
+                    st.lists(
+                        _mostly(
+                            st.dictionaries(_TOKENS, _TOKENS | _SCALARS, max_size=2)
+                        ),
+                        max_size=2,
+                    )
+                ),
+                "pin": _mostly(
+                    st.dictionaries(_TOKENS, _TOKENS | _SCALARS, max_size=1)
+                ),
+            },
+        )
+    )
+    if draw(st.booleans()):
+        data["axes"] = axes
+    else:
+        data.update(axes)
+    return data
 
 
 class TestSpec:
@@ -133,6 +263,16 @@ class TestSpec:
             data.update(axes)
         with pytest.raises(ConfigError):
             CampaignSpec.from_dict(data)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_JSON | _spec_like())
+    def test_any_json_expands_or_raises_config_error(self, data):
+        try:
+            points = CampaignSpec.from_dict(data).expand()
+        except ConfigError:
+            return
+        assert points
+        assert all(isinstance(p.seed, int) and p.seed >= 0 for p in points)
 
     def test_bad_override_rejected(self):
         with pytest.raises(ConfigError, match="no field"):
@@ -223,20 +363,6 @@ class TestSpec:
 
 
 class TestTomlLoading:
-    def test_fallback_parses_sample(self):
-        data = _parse_toml_fallback(SAMPLE_TOML, "sample")
-        assert data["name"] == "sample"
-        assert data["axes"]["seeds"] == [0, 1]
-        assert data["configs"][1]["overrides"]["links.cross_stack_gbps"] == 20.0
-        assert data["exclude"][0]["workload"] == "BFS"
-        assert data["pin"]["seed"] == 0
-
-    def test_fallback_agrees_with_tomllib(self):
-        tomllib = pytest.importorskip("tomllib")
-        assert _parse_toml_fallback(SAMPLE_TOML, "x") == tomllib.loads(
-            SAMPLE_TOML
-        )
-
     @pytest.mark.parametrize(
         "text",
         [
@@ -247,9 +373,9 @@ class TestTomlLoading:
             "a = what",  # unparseable value
         ],
     )
-    def test_fallback_rejects_malformed(self, text):
-        with pytest.raises(ConfigError):
-            _parse_toml_fallback(text, "bad")
+    def test_parse_toml_rejects_malformed(self, text):
+        with pytest.raises(ConfigError, match="bad TOML in bad"):
+            parse_toml(text, "bad")
 
     def test_load_spec_toml_and_json(self, tmp_path):
         toml_path = tmp_path / "c.toml"
@@ -285,27 +411,11 @@ class TestTomlLoading:
             load_spec(tmp_path / "missing.toml")
 
 
-class TestGuard:
-    def test_denies_trace_build(self):
-        spec = small_spec()
-        with deny_simulation():
-            assert simulation_denied()
-            with pytest.raises(SimulationDenied):
-                CampaignDriver(spec).run()
-        assert not simulation_denied()
-
-    def test_reentrant(self):
-        with deny_simulation():
-            with deny_simulation():
-                assert simulation_denied()
-            assert simulation_denied()
-
+class TestDriver:
     def test_simulator_counts_runs(self):
         CampaignDriver(small_spec(policies=("baseline",))).run()
         assert simulator.stats["runs"] == 1
 
-
-class TestDriver:
     def test_completed_campaign_reruns_zero_simulations(self):
         spec = small_spec(workloads=("BP", "BFS"))
         first = CampaignDriver(spec).run()
@@ -472,6 +582,15 @@ class TestCli:
         assert cli.main(["campaign", "run", str(path)]) == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("patch", MALFORMED.values(), ids=list(MALFORMED))
+    def test_malformed_json_spec_exits_2(self, tmp_path, capsys, patch):
+        data = {"name": "bad", "workloads": ["BP"], "policies": ["baseline"]}
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({**data, **patch}))
+        assert cli.main(["campaign", "status", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+
     def test_report_sniffs_manifest(self, tmp_path, capsys):
         spec = self._write_spec(tmp_path, name="sniff")
         assert cli.main(["campaign", "run", str(spec)]) == 0
@@ -484,106 +603,3 @@ class TestCli:
         from repro.analysis.figures import FIGURE_BUILDERS
 
         assert set(cli._FIGURES) == set(FIGURE_BUILDERS)
-
-
-class TestService:
-    @pytest.fixture
-    def service(self):
-        from repro.campaign.service import CampaignService
-
-        svc = CampaignService(port=0).start_background()
-        yield svc
-        svc.stop()
-
-    def _fetch(self, svc, target):
-        from repro.campaign.service import fetch
-
-        return fetch(svc.host, svc.port, target, timeout=120)
-
-    def _poll(self, svc, poll_url, tries=600):
-        import time
-
-        for _ in range(tries):
-            _, body = self._fetch(svc, poll_url)
-            payload = json.loads(body)
-            if payload["status"] in ("done", "failed"):
-                return payload
-            time.sleep(0.05)
-        raise AssertionError(f"job never finished: {payload}")
-
-    def test_health_and_figure_list(self, service):
-        status, body = self._fetch(service, "/healthz")
-        assert status == 200 and json.loads(body) == {"ok": True}
-        status, body = self._fetch(service, "/v1/figures")
-        assert status == 200 and "fig8" in json.loads(body)["figures"]
-
-    def test_cold_then_warm_run_query(self, service):
-        target = "/v1/run/BP?policy=baseline&scale=TINY"
-        status, body = self._fetch(service, target)
-        assert status == 202
-        accepted = json.loads(body)
-        assert accepted["poll"] == f"/v1/jobs/{accepted['job']}"
-        done = self._poll(service, accepted["poll"])
-        assert done["status"] == "done"
-        assert done["result"] == "/v1/run/BP?policy=baseline&scale=TINY"
-
-        # Warm now: answered without touching the simulator.
-        simulator.stats["runs"] = 0
-        status, body = self._fetch(service, target)
-        assert status == 200
-        payload = json.loads(body)
-        assert payload["workload"] == "BP" and "result" in payload
-        assert simulator.stats["runs"] == 0
-
-    def test_warm_hit_from_pre_seeded_cache(self, service):
-        # Seed via the campaign driver, then the very first HTTP query
-        # must be warm — no job, no simulation.
-        CampaignDriver(small_spec(policies=("baseline",))).run()
-        simulator.stats["runs"] = 0
-        status, body = self._fetch(
-            service, "/v1/run/BP?policy=baseline&scale=TINY"
-        )
-        assert status == 200 and len(body) > 0
-        assert simulator.stats["runs"] == 0
-
-    def test_identical_cold_requests_deduplicate(self, service):
-        target = "/v1/run/BFS?policy=baseline&scale=TINY"
-        _, first = self._fetch(service, target)
-        _, second = self._fetch(service, target)
-        assert json.loads(first)["job"] == json.loads(second)["job"]
-        assert self._poll(service, json.loads(first)["poll"])["status"] == "done"
-
-    def test_errors(self, service):
-        assert self._fetch(service, "/v1/figure/nope")[0] == 400
-        assert self._fetch(service, "/v1/run/NOPE")[0] == 400
-        assert self._fetch(service, "/v1/run/BP?policy=warp")[0] == 400
-        assert self._fetch(service, "/v1/run/BP?scale=HUGE")[0] == 400
-        assert self._fetch(service, "/v1/jobs/j99999")[0] == 404
-        assert self._fetch(service, "/nothing/here")[0] == 404
-
-    def test_stats_endpoint(self, service):
-        status, body = self._fetch(service, "/v1/stats")
-        assert status == 200
-        payload = json.loads(body)
-        assert {"requests", "jobs", "result_cache", "simulator"} <= set(payload)
-
-
-class TestServeCliWiring:
-    def test_serve_subcommand_parses(self):
-        # Parsing only — running would block on serve_forever.
-        parser_error = None
-        try:
-            args = cli._build_parser().parse_args(
-                ["serve", "--host", "127.0.0.1", "--port", "0"]
-            )
-        except SystemExit as exc:  # pragma: no cover - parse failure
-            parser_error = exc
-        assert parser_error is None
-        assert args.command == "serve" and args.port == 0
-
-    def test_service_is_exported(self):
-        from repro.campaign import CampaignService
-
-        assert isinstance(CampaignService, type)
-        with pytest.raises(ReproError):
-            raise SimulationDenied("exported and raisable")

@@ -73,6 +73,20 @@ class TestSuite:
         assert "REPRO_JOBS must be an integer" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "BP", "--scale", "TINY", "--seed", "-1"],
+            ["suite", "--scale", "TINY", "--workloads", "SP", "--seed", "-1"],
+        ],
+        ids=["run", "suite"],
+    )
+    def test_negative_seed_exits_2(self, capsys, argv):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "error: seed: expected a non-negative int" in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("raw", ["nan", "inf"])
     def test_non_finite_job_timeout_exits_2(self, capsys, monkeypatch, raw):
         assert (
@@ -101,6 +115,13 @@ class TestFigure:
         with pytest.raises(SystemExit):
             main(["figure", "fig99"])
 
+    def test_bad_bench_scale_env_exits_2(self, capsys, monkeypatch):
+        monkeypatch.setenv("REPRO_BENCH_SCALE", "bogus")
+        assert main(["figure", "fig8"]) == 2
+        err = capsys.readouterr().err
+        assert "REPRO_BENCH_SCALE='bogus'" in err and "TINY" in err
+        assert "Traceback" not in err
+
 
 class TestInspect:
     def test_inspect_lib(self, capsys):
@@ -120,3 +141,9 @@ class TestNoCommand:
     def test_requires_subcommand(self):
         with pytest.raises(SystemExit):
             main([])
+
+    def test_serve_is_not_a_command(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["serve"])
+        assert exit_info.value.code == 2
+        assert "invalid choice: 'serve'" in capsys.readouterr().err

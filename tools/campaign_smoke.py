@@ -1,7 +1,7 @@
 #!/usr/bin/env python
-"""End-to-end campaign + service drill (gating in CI; docs/CAMPAIGNS.md).
+"""End-to-end campaign drill (gating in CI; docs/CAMPAIGNS.md).
 
-Four acts over one tiny declared product:
+Three acts over one tiny declared product:
 
 1. a cold ``campaign run`` of a 2x2 product (2 workloads x 2 policies,
    TINY) — every point must simulate exactly once;
@@ -10,10 +10,7 @@ Four acts over one tiny declared product:
    criterion of the campaign layer, checked against the simulator's
    process-local run counter, hence ``REPRO_JOBS=1`` inline execution);
 3. ``campaign status`` — must classify the campaign as complete and
-   exit 0 semantics (done);
-4. a ``repro-tom serve`` request/response pass — a warm figure-less
-   run query answers 200 from cache without simulating, a cold query
-   answers 202 + poll URL and completes in the background.
+   exit 0 semantics (done).
 
 Run from the repository root::
 
@@ -22,11 +19,9 @@ Run from the repository root::
 
 from __future__ import annotations
 
-import json
 import os
 import sys
 import tempfile
-import time
 
 WORKLOADS = ["BP", "BFS"]
 POLICIES = ["baseline", "ctrl+bmap"]
@@ -61,7 +56,7 @@ def main() -> None:
     )
     expected = len(WORKLOADS) * len(POLICIES)
 
-    print(f"[1/4] cold campaign run ({expected} points) ...")
+    print(f"[1/3] cold campaign run ({expected} points) ...")
     simulator.stats["runs"] = 0
     first = CampaignDriver(spec).run()
     if not first.ok:
@@ -72,7 +67,7 @@ def main() -> None:
             f"{simulator.stats['runs']} simulations, expected {expected}"
         )
 
-    print("[2/4] re-run over the completed product (zero simulations) ...")
+    print("[2/3] re-run over the completed product (zero simulations) ...")
     simulator.stats["runs"] = 0
     second = CampaignDriver(spec).run()
     if not second.ok or second.cache_hits != expected:
@@ -83,60 +78,10 @@ def main() -> None:
     if simulator.stats["runs"] != 0:
         fail(f"re-run performed {simulator.stats['runs']} simulations")
 
-    print("[3/4] campaign status ...")
+    print("[3/3] campaign status ...")
     status = CampaignDriver(spec).status()
     if not status.done or status.pending or status.failed:
         fail(f"status not done: {status.describe()}")
-
-    print("[4/4] service request/response ...")
-    from repro.campaign.service import CampaignService, fetch
-
-    service = CampaignService(port=0).start_background()
-    try:
-        code, body = fetch(service.host, service.port, "/healthz")
-        if code != 200:
-            fail(f"/healthz -> {code}")
-
-        # Warm: act 1 populated the cache for this exact point.
-        simulator.stats["runs"] = 0
-        code, body = fetch(
-            service.host,
-            service.port,
-            f"/v1/run/{WORKLOADS[0]}?policy=baseline&scale=TINY",
-        )
-        if code != 200 or not body:
-            fail(f"warm run query -> {code} ({len(body)} bytes)")
-        if simulator.stats["runs"] != 0:
-            fail(
-                f"warm query simulated {simulator.stats['runs']} times "
-                "(must answer from cache)"
-            )
-
-        # Cold: an unseeded seed -> 202 + poll URL, then completes.
-        target = f"/v1/run/{WORKLOADS[0]}?policy=baseline&scale=TINY&seed=9"
-        code, body = fetch(service.host, service.port, target)
-        if code != 202:
-            fail(f"cold run query -> {code}, expected 202")
-        accepted = json.loads(body)
-        poll = accepted.get("poll")
-        if not poll:
-            fail(f"202 without poll URL: {accepted}")
-        deadline = time.monotonic() + 300
-        while True:
-            code, body = fetch(service.host, service.port, poll)
-            payload = json.loads(body)
-            if payload["status"] == "done":
-                break
-            if payload["status"] == "failed":
-                fail(f"background job failed: {payload}")
-            if time.monotonic() > deadline:
-                fail(f"background job never finished: {payload}")
-            time.sleep(0.2)
-        code, body = fetch(service.host, service.port, target)
-        if code != 200:
-            fail(f"refetch after job completion -> {code}, expected 200")
-    finally:
-        service.stop()
 
     print("CAMPAIGN SMOKE OK")
 
